@@ -4,12 +4,13 @@ Times the three vectorized hot-path kernels against their pure-Python
 references on G(n, p) graphs of ~10^4, 10^5 and 10^6 edges (plus a 10^7
 rung behind the ``slow`` marker):
 
-* ``w_build`` — group-local ``W`` construction (Algorithm 4's hashtable):
-  :class:`~repro.core.saving.GroupAdjacency` over fixed-size chunks of
+* ``w_build`` — ``W`` construction (Algorithm 4's hashtable):
+  :func:`~repro.kernels.wtable.build_w` against its dict-loop reference
+  :func:`~repro.kernels.wtable.build_w_reference` over fixed-size chunks of
   supernodes. Chunks rather than a real LSH divide: G(n, p) graphs have no
   cluster structure, so a divide yields almost no collision groups and the
   phase would time an empty loop. Chunking touches every edge exactly once
-  per backend — the same total work a merge iteration's W builds do.
+  per backend — the same total work as a merge iteration's one W build.
 * ``doph_bulk`` — bulk DOPH signatures for all supernodes (Algorithm 2),
   the divide step's dominant cost. Since the chunked cache-blocked scatter
   landed this is gated at >= 15x over the python reference on the
@@ -48,10 +49,10 @@ import pytest
 
 from repro.core.encode import encode_sorted
 from repro.core.partition import SupernodePartition
-from repro.core.saving import GroupAdjacency
 from repro.core.summary import RunStats
 from repro.distributed.multiprocess import MultiprocessLDME
 from repro.graph.generators import erdos_renyi
+from repro.kernels.wtable import build_w, build_w_reference
 from repro.lsh.doph import doph_signatures_bulk
 from repro.lsh.permutation import random_permutation
 from repro.metrics import PhaseTimer, write_bench
@@ -157,9 +158,10 @@ def _time_phases(timer: PhaseTimer, label: str, graph) -> None:
                     rows, graph.indices, int(sids.size), perm, K,
                     directions, backend=backend,
                 )
+            build = build_w_reference if backend == "python" else build_w
             with timer.phase("w_build", graph=label, backend=backend):
                 for group in groups:
-                    GroupAdjacency(graph, coarse, group, kernels=backend)
+                    build(graph, coarse, group)
             with timer.phase("encode", graph=label, backend=backend):
                 encode_sorted(graph, paired, backend=backend)
 

@@ -13,6 +13,7 @@ import dataclasses
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from .drop import drop_edges
 from .encode import encode_per_supernode, encode_sorted
 from .merge import MergeStats, merge_threshold
 from .partition import SupernodePartition
+from .saving import GroupAdjacency
 from .summary import IterationStats, RunStats, Summarization
 
 __all__ = ["BaseSummarizer", "ResumeState"]
@@ -97,8 +99,8 @@ class BaseSummarizer(ABC):
         self.seed = seed
         self.encoder = encoder
         self.cost_model = cost_model
-        # Hot-path backend for W construction, bulk DOPH and the sorted
-        # encode; "python" keeps the differential-testing reference.
+        # Hot-path backend for bulk DOPH and the sorted encode; "python"
+        # keeps the differential-testing reference.
         self.kernels = kernels
         # Partitioned-lexsort bucket count for the numpy sorted encode
         # (0 = one global sort; output-identical for every value).
@@ -130,8 +132,13 @@ class BaseSummarizer(ABC):
         group: List[int],
         threshold: float,
         rng: np.random.Generator,
+        adjacency: Optional[GroupAdjacency] = None,
     ) -> MergeStats:
-        """Run the merge loop on one group (mutating ``partition``)."""
+        """Run the merge loop on one group (mutating ``partition``).
+
+        ``adjacency`` holds ``W`` rows for this group (and possibly the
+        iteration's other groups); without one the group builds its own.
+        """
 
     # ------------------------------------------------------------------
     # shared driver
@@ -148,12 +155,18 @@ class BaseSummarizer(ABC):
     ) -> MergeStats:
         """Execute one iteration's merge phase (mutating ``partition``).
 
-        The default is the serial group loop; parallel subclasses
+        The default is the serial group loop against one ``W`` built for
+        every mergeable group up front; parallel subclasses
         (:class:`repro.distributed.MultiprocessLDME`) override this to fan
         groups out to workers, recording supervision counters on
         ``run_stats``.
         """
         merge_stats = MergeStats()
+        adjacency = GroupAdjacency(
+            graph, partition,
+            chain.from_iterable(g for g in groups if len(g) >= 2),
+            self.cost_model,
+        )
         # One batch span for the whole serial pass keeps the span tree
         # shape-compatible with the multiprocess driver (which emits one
         # group_batch per worker batch).
@@ -162,7 +175,7 @@ class BaseSummarizer(ABC):
         ) as batch_span:
             for group in groups:
                 merge_stats += self.merge_one_group(
-                    graph, partition, group, threshold, rng
+                    graph, partition, group, threshold, rng, adjacency
                 )
             batch_span.set_attribute("merges", merge_stats.merges)
             batch_span.set_attribute(

@@ -31,8 +31,8 @@ class LDMEConfig:
         (SWeG-style baseline encoder) — exposed for ablations.
     kernels:
         Hot-path backend: ``"numpy"`` (default — vectorized kernels from
-        :mod:`repro.kernels` for W construction, bulk DOPH and the sorted
-        encode) or ``"python"`` (the pure-Python reference the kernels are
+        :mod:`repro.kernels` for bulk DOPH and the sorted encode) or
+        ``"python"`` (the pure-Python reference the kernels are
         differential-tested against). Results are bit-identical; the knob
         exists for testing and for perf regression baselines.
     shared_memory:

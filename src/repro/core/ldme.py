@@ -17,6 +17,7 @@ from .config import LDMEConfig
 from .divide import DivideStats, lsh_divide
 from .merge import MergeStats, merge_group_exact, merge_group_superjaccard
 from .partition import SupernodePartition
+from .saving import GroupAdjacency
 from .summary import Summarization
 
 __all__ = ["LDME", "ldme5", "ldme20", "summarize"]
@@ -119,10 +120,11 @@ class LDME(BaseSummarizer):
         group: List[int],
         threshold: float,
         rng: np.random.Generator,
+        adjacency: Optional[GroupAdjacency] = None,
     ) -> MergeStats:
         """Merge loop over the group.
 
-        The default policy computes exact Saving through the group's ``W``
+        The default policy computes exact Saving through the ``W``
         structure (the paper's contribution #2); ``merge_policy=
         "superjaccard"`` swaps in SWeG's approximation for ablations.
         """
@@ -133,7 +135,7 @@ class LDME(BaseSummarizer):
         )
         return merge_fn(
             graph, partition, group, threshold, rng,
-            cost_model=self.cost_model, kernels=self.kernels,
+            cost_model=self.cost_model, adjacency=adjacency,
         )
 
 

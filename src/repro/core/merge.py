@@ -4,7 +4,8 @@ For each group produced by the divide step, the merge loop (Section 2 of
 the paper) repeatedly removes a random supernode ``A`` from the working set,
 finds its best partner ``B``, and merges when the Saving clears the
 iteration-dependent threshold ``θ(t) = 1/(1+t)``. LDME scores candidates by
-*exact* Saving through the group's ``W`` structure (Algorithm 4); SWeG
+*exact* Saving through the ``W`` structure (Algorithm 4), which the driver
+builds once per iteration for all groups and passes in; SWeG
 scores by SuperJaccard and checks Saving only once — both policies are
 implemented here so the baselines share one audited merge loop.
 """
@@ -65,22 +66,20 @@ def merge_group_exact(
     threshold: float,
     seed: SeedLike = None,
     cost_model: str = "exact",
-    kernels: str = "python",
+    adjacency: Optional[GroupAdjacency] = None,
 ) -> MergeStats:
     """LDME merge loop: candidates scored by exact Saving via ``W``.
 
-    Mutates ``partition`` in place and returns merge statistics.
-    ``kernels`` picks the ``W``-construction backend (see
-    :class:`~repro.core.saving.GroupAdjacency`); the merge decisions are
-    identical under either backend.
+    Mutates ``partition`` (and ``adjacency``) in place and returns merge
+    statistics. ``adjacency`` must hold the group's rows; it may hold
+    other groups' rows too. Without one, the group's own is built.
     """
     rng = _rng(seed)
     stats = MergeStats()
     if len(group) < 2:
         return stats
-    adjacency = GroupAdjacency(
-        graph, partition, group, cost_model=cost_model, kernels=kernels
-    )
+    if adjacency is None:
+        adjacency = GroupAdjacency(graph, partition, group, cost_model)
     temp = list(group)
     while temp:
         pick = int(rng.integers(len(temp)))
@@ -117,21 +116,21 @@ def merge_group_superjaccard(
     threshold: float,
     seed: SeedLike = None,
     cost_model: str = "exact",
-    kernels: str = "python",
+    adjacency: Optional[GroupAdjacency] = None,
 ) -> MergeStats:
     """SWeG merge loop: candidates ranked by SuperJaccard, Saving checked once.
 
     This is the baseline policy the paper attributes SWeG's merge cost to:
     every candidate comparison walks node-level supervectors (O(|N_A| +
     |N_B|)), and the selected pair still needs one Saving evaluation.
+    ``adjacency`` is as in :func:`merge_group_exact`.
     """
     rng = _rng(seed)
     stats = MergeStats()
     if len(group) < 2:
         return stats
-    adjacency = GroupAdjacency(
-        graph, partition, group, cost_model=cost_model, kernels=kernels
-    )
+    if adjacency is None:
+        adjacency = GroupAdjacency(graph, partition, group, cost_model)
     vectors: Dict[int, Dict[int, int]] = {
         sid: partition.supervector(graph, sid) for sid in group
     }

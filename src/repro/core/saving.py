@@ -2,22 +2,26 @@
 
 LDME's merge phase replaces SWeG's SuperJaccard approximation with the true
 ``Saving(A, B, S)``: the relative drop in objective cost from merging A and
-B. The enabler is a hashtable-of-hashtables ``W`` built per merge group:
-``W[A][C]`` is the number of original edges between supernodes A and C, so
-every pairwise edge count is an O(1) lookup and ``Saving`` costs only
-``O(|W_A| + |W_B|)`` — supernode-level work, independent of |V|.
+B. The enabler is a hashtable-of-hashtables ``W``, built once per merge
+iteration for every mergeable group: ``W[A][C]`` is the number of original
+edges between supernodes A and C, so every pairwise edge count is an O(1)
+lookup and ``Saving`` costs only ``O(|W_A| + |W_B|)`` — supernode-level
+work, independent of |V|.
 
-``GroupAdjacency`` owns ``W`` for one group, computes Saving/Cost under a
-pluggable cost model, and applies the paper's post-merge update rules
-(fold the smaller side's table into the larger, fix reverse entries).
+``GroupAdjacency`` owns ``W`` and the supernode sizes Saving reads,
+computes Saving/Cost under a pluggable cost model, and applies the
+paper's post-merge update rules (fold the smaller side's table into the
+larger, fix reverse entries).
 Internal edges ``E_AA`` are stored under the self key ``W[A][A]``.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..graph.graph import Graph
+from ..kernels.wtable import build_w
 from .cost import get_cost_model
 from .partition import SupernodePartition
 
@@ -25,24 +29,26 @@ __all__ = ["GroupAdjacency", "saving_of_pair", "supernode_cost"]
 
 
 class GroupAdjacency:
-    """The ``W`` hashtable-of-hashtables for one merge group.
+    """The ``W`` hashtable-of-hashtables for a set of merge groups.
 
     Parameters
     ----------
     graph:
         The original graph (edge counts are always against ``E``).
     partition:
-        Current supernode partition; sizes are read live from it.
+        Current supernode partition; ``W`` and the sizes are read from it
+        once, at construction, and kept current by :meth:`apply_merge`.
     group_ids:
-        Supernode ids forming this merge group; only these get first-level
-        entries, but second-level keys may reference any adjacent supernode.
+        Supernode ids to build rows for: one group's, or every mergeable
+        group's of an iteration. Only these get first-level entries, but
+        second-level keys may reference any adjacent supernode.
     cost_model:
         ``"exact"`` or ``"paper"`` (see :mod:`repro.core.cost`).
-    kernels:
-        ``"python"`` builds ``W`` with the reference dict loop; ``"numpy"``
-        uses the vectorized kernel (:func:`repro.kernels.wtable.
-        build_group_w`). The tables are equal either way — the differential
-        suite under ``tests/kernels/`` machine-checks it.
+
+    Rows of several disjoint groups can share one instance: rule (2) of
+    :meth:`apply_merge` moves ``W_C[absorbed]`` to ``W_C[survivor]`` in
+    every row that holds it, so a later group's rows equal a fresh build
+    against the partition its turn sees.
     """
 
     def __init__(
@@ -51,31 +57,18 @@ class GroupAdjacency:
         partition: SupernodePartition,
         group_ids: Iterable[int],
         cost_model: str = "exact",
-        kernels: str = "python",
     ) -> None:
-        self._partition = partition
+        # ``size``: member count of every supernode a row mentions.
+        self.w, self.size = build_w(graph, partition, group_ids)
         self._pair_cost, self._loop_cost = get_cost_model(cost_model)
         self._cost_cache: Dict[int, float] = {}
-        if kernels == "numpy":
-            from ..kernels.wtable import build_group_w
 
-            self.w = build_group_w(graph, partition, group_ids)
-            return
-        if kernels != "python":
-            raise ValueError("kernels must be 'python' or 'numpy'")
-        self.w: Dict[int, Dict[int, int]] = {}
-        node2super = partition.node2super
-        for sid in group_ids:
-            counts: Dict[int, int] = {}
-            for v in partition.members(sid):
-                # One gather per member row; no per-neighbour id round-trips.
-                for c in node2super[graph.neighbors(v)].tolist():
-                    counts[c] = counts.get(c, 0) + 1
-            internal = counts.pop(sid, 0)
-            if internal:
-                # Each internal undirected edge was seen from both endpoints.
-                counts[sid] = internal // 2
-            self.w[sid] = counts
+    def restrict(self, group_ids: Iterable[int]) -> "GroupAdjacency":
+        """An instance over these rows only, sharing the size table."""
+        view = copy.copy(self)
+        view.w = {sid: self.w[sid] for sid in group_ids}
+        view._cost_cache = {}
+        return view
 
     # ------------------------------------------------------------------
     def edge_count(self, a: int, c: int) -> int:
@@ -91,33 +84,36 @@ class GroupAdjacency:
         cached = self._cost_cache.get(sid)
         if cached is not None:
             return cached
-        size_a = self._partition.size(sid)
+        size = self.size
+        size_a = size[sid]
+        pair_cost = self._pair_cost
         total = 0.0
         for c, edges in self.w[sid].items():
             if c == sid:
                 total += self._loop_cost(size_a, edges)
             else:
-                total += self._pair_cost(size_a, self._partition.size(c), edges)
+                total += pair_cost(size_a, size[c], edges)
         self._cost_cache[sid] = total
         return total
 
     def merged_cost(self, a: int, b: int) -> float:
         """``Cost(A ∪ B, ...)``: cost of the hypothetical merged supernode."""
-        part = self._partition
-        size_ab = part.size(a) + part.size(b)
+        size = self.size
+        pair_cost = self._pair_cost
+        size_ab = size[a] + size[b]
         w_a, w_b = self.w[a], self.w[b]
         internal = w_a.get(a, 0) + w_b.get(b, 0) + w_a.get(b, 0)
         total = self._loop_cost(size_ab, internal) if internal else 0.0
         for c, edges in w_a.items():
-            if c in (a, b):
+            if c == a or c == b:
                 continue
             if c in w_b:
                 edges = edges + w_b[c]
-            total += self._pair_cost(size_ab, part.size(c), edges)
+            total += pair_cost(size_ab, size[c], edges)
         for c, edges in w_b.items():
-            if c in (a, b) or c in w_a:
+            if c == a or c == b or c in w_a:
                 continue
-            total += self._pair_cost(size_ab, part.size(c), edges)
+            total += pair_cost(size_ab, size[c], edges)
         return total
 
     def saving(self, a: int, b: int) -> float:
@@ -153,11 +149,13 @@ class GroupAdjacency:
 
         Implements the paper's two update rules: fold the absorbed table
         into the survivor's, then rewrite reverse entries ``W_C[absorbed]``
-        for every in-group neighbour C. Must be called *after*
+        for every neighbour C that has a row — rows of groups whose turn
+        is still to come included. Must be called *after*
         :meth:`SupernodePartition.merge` relabelled the members.
         """
         w_s = self.w[survivor]
         w_x = self.w.pop(absorbed)
+        self.size[survivor] += self.size[absorbed]
         # Invalidate cached costs touched by this merge: the survivor, the
         # absorbed supernode, and everything adjacent to either (their pair
         # terms reference the merged sizes/counts).
@@ -174,19 +172,18 @@ class GroupAdjacency:
             w_s[survivor] = internal
         for c, edges in w_x.items():
             w_s[c] = w_s.get(c, 0) + edges
-        # Rule (2): fix reverse entries of in-group neighbours of either side.
-        for c in set(w_x) | set(w_s):
-            if c in (survivor, absorbed):
-                continue
+        # Rule (2): by symmetry, the rows holding W_C[absorbed] are those
+        # of the absorbed side's neighbours (C without a row: nothing to do).
+        for c in w_x:
             w_c = self.w.get(c)
             if w_c is None:
-                continue  # neighbour outside this group: no first-level entry
+                continue
             moved = w_c.pop(absorbed, None)
             if moved is not None:
                 w_c[survivor] = w_c.get(survivor, 0) + moved
 
     def validate_symmetry(self) -> None:
-        """Check in-group symmetry ``W_A[B] == W_B[A]`` (test hook)."""
+        """Check symmetry ``W_A[B] == W_B[A]`` between rows (test hook)."""
         for a, row in self.w.items():
             for c, edges in row.items():
                 if c == a or c not in self.w:

@@ -64,6 +64,7 @@ from ..core.divide import lsh_divide
 from ..core.ldme import LDME
 from ..core.merge import MergeStats, merge_group_exact
 from ..core.partition import SupernodePartition
+from ..core.saving import GroupAdjacency
 from ..core.summary import RunStats
 from ..graph.graph import Graph
 from ..kernels.doph import SCATTER_EMPTY, doph_densify, doph_scatter_min
@@ -127,34 +128,20 @@ class _SnapshotPartition:
     """Partition view a worker plans merges against.
 
     Group members are local and mutable (in-group merges update them);
-    everything else reads the frozen iteration-start snapshot. The merge
-    log records (a, b) pairs in order so the parent can replay them on the
+    ``node2super`` is the frozen iteration-start snapshot. The merge log
+    records (a, b) pairs in order so the parent can replay them on the
     real partition with identical survivor decisions.
     """
 
     def __init__(
-        self,
-        node2super: np.ndarray,
-        sizes: np.ndarray,
-        group_members: Dict[int, List[int]],
+        self, node2super: np.ndarray, group_members: Dict[int, List[int]]
     ) -> None:
-        self._node2super = node2super
-        self._sizes = sizes
+        self.node2super = node2super
         self._members = {sid: list(mem) for sid, mem in group_members.items()}
         self.merge_log: List[Tuple[int, int]] = []
 
-    @property
-    def node2super(self) -> np.ndarray:
-        return self._node2super
-
     def members(self, sid: int) -> List[int]:
         return self._members[sid]
-
-    def size(self, sid: int) -> int:
-        local = self._members.get(sid)
-        if local is not None:
-            return len(local)
-        return int(self._sizes[sid])
 
     def merge(self, a: int, b: int) -> Tuple[int, int]:
         if a == b:
@@ -175,12 +162,10 @@ class _SnapshotPartition:
 def plan_group_merges(
     graph: Graph,
     node2super: np.ndarray,
-    sizes: np.ndarray,
     group_members: Dict[int, List[int]],
     threshold: float,
     seed: int,
     cost_model: str = "exact",
-    kernels: str = "python",
 ) -> Tuple[List[Tuple[int, int]], int]:
     """Plan the merges for one group against a partition snapshot.
 
@@ -190,40 +175,45 @@ def plan_group_merges(
     fallen-back batch reproduces the exact plan a healthy worker would
     have returned).
     """
-    snapshot = _SnapshotPartition(node2super, sizes, group_members)
-    stats = merge_group_exact(
-        graph,
-        snapshot,
-        list(group_members),
-        threshold,
-        seed=np.random.default_rng(seed),
-        cost_model=cost_model,
-        kernels=kernels,
+    return _plan_batch(
+        graph, node2super, [group_members], threshold, seed, cost_model
     )
-    return snapshot.merge_log, stats.candidates_scored
 
 
 def _plan_batch(
     graph: Graph,
     node2super: np.ndarray,
-    sizes: np.ndarray,
     batch: Sequence[Dict[int, List[int]]],
     threshold: float,
     seed: int,
     cost_model: str,
-    kernels: str = "python",
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """Plan one batch of groups (seeded ``seed + offset`` per group)."""
-    log: List[Tuple[int, int]] = []
+    """Plan one batch of groups (seeded ``seed + offset`` per group).
+
+    ``W`` is built once for the whole batch against the snapshot. Each
+    group then plans on its own rows and starts from the snapshot sizes,
+    so no group sees another's merges: the plan equals planning each
+    group alone.
+    """
+    snapshot = _SnapshotPartition(
+        node2super,
+        {sid: mem for group in batch for sid, mem in group.items()},
+    )
+    batch_w = GroupAdjacency(
+        graph, snapshot, chain.from_iterable(batch), cost_model
+    )
     scored = 0
     for offset, group_members in enumerate(batch):
-        merges, count = plan_group_merges(
-            graph, node2super, sizes, group_members,
-            threshold, seed + offset, cost_model, kernels,
+        group = list(group_members)
+        start = [batch_w.size[sid] for sid in group]
+        stats = merge_group_exact(
+            graph, snapshot, group, threshold,
+            seed=np.random.default_rng(seed + offset),
+            adjacency=batch_w.restrict(group),
         )
-        log.extend(merges)
-        scored += count
-    return log, scored
+        scored += stats.candidates_scored
+        batch_w.size.update(zip(group, start))
+    return snapshot.merge_log, scored
 
 
 def _worker(task) -> Tuple[List[Tuple[int, int]], int, List[dict]]:
@@ -239,15 +229,15 @@ def _worker(task) -> Tuple[List[Tuple[int, int]], int, List[dict]]:
     retried batch re-emits the *same* span and the stitched tree is
     identical to a single-process run's.
     """
-    (batch, threshold, seed, cost_model, kernels,
+    (batch, threshold, seed, cost_model,
      iteration, batch_index, attempt, trace_ctx) = task
     faults: Optional[FaultInjector] = _SHARED.get("faults")
     if faults is not None:
         faults.on_worker_batch(iteration, batch_index, attempt)
     if trace_ctx is None:
         log, scored = _plan_batch(
-            _SHARED["graph"], _SHARED["node2super"], _SHARED["sizes"],
-            batch, threshold, seed, cost_model, kernels,
+            _SHARED["graph"], _SHARED["node2super"],
+            batch, threshold, seed, cost_model,
         )
         return log, scored, []
     tracer = Tracer.from_context(trace_ctx)
@@ -255,8 +245,8 @@ def _worker(task) -> Tuple[List[Tuple[int, int]], int, List[dict]]:
         "group_batch", key=batch_index, groups=len(batch)
     ) as batch_span:
         log, scored = _plan_batch(
-            _SHARED["graph"], _SHARED["node2super"], _SHARED["sizes"],
-            batch, threshold, seed, cost_model, kernels,
+            _SHARED["graph"], _SHARED["node2super"],
+            batch, threshold, seed, cost_model,
         )
         batch_span.set_attribute("merges", len(log))
         batch_span.set_attribute("candidates_scored", scored)
@@ -272,7 +262,6 @@ def _shm_plan_range(
     threshold: float,
     seed: int,
     cost_model: str,
-    kernels: str,
 ) -> Tuple[int, int]:
     """Plan a contiguous batch of groups straight out of a merge arena.
 
@@ -283,30 +272,23 @@ def _shm_plan_range(
     ``pair_offset``. Returns ``(num_merges, candidates_scored)``; the
     parent reads the pairs back from the slab.
     """
-    node2super = merge_arena.array("node2super")
-    sizes = merge_arena.array("sizes")
-    sid_list = merge_arena.array("sid_list")
-    sid_indptr = merge_arena.array("sid_indptr")
+    sid_list = merge_arena.array("sid_list").tolist()
+    sid_indptr = merge_arena.array("sid_indptr").tolist()
     members_flat = merge_arena.array("members")
-    group_indptr = merge_arena.array("group_indptr")
-    pairs = merge_arena.array("pairs")
-    log: List[Tuple[int, int]] = []
-    scored = 0
-    for offset, g in enumerate(range(group_lo, group_hi)):
-        group_members: Dict[int, List[int]] = {}
-        for j in range(int(group_indptr[g]), int(group_indptr[g + 1])):
-            sid = int(sid_list[j])
-            group_members[sid] = members_flat[
-                int(sid_indptr[j]):int(sid_indptr[j + 1])
-            ].tolist()
-        merges, count = plan_group_merges(
-            graph, node2super, sizes, group_members,
-            threshold, seed + offset, cost_model, kernels,
-        )
-        log.extend(merges)
-        scored += count
+    group_indptr = merge_arena.array("group_indptr").tolist()
+    batch = [
+        {
+            sid_list[j]: members_flat[sid_indptr[j]:sid_indptr[j + 1]].tolist()
+            for j in range(group_indptr[g], group_indptr[g + 1])
+        }
+        for g in range(group_lo, group_hi)
+    ]
+    log, scored = _plan_batch(
+        graph, merge_arena.array("node2super"), batch, threshold, seed,
+        cost_model,
+    )
     if log:
-        pairs[pair_offset:pair_offset + len(log)] = log
+        merge_arena.array("pairs")[pair_offset:pair_offset + len(log)] = log
     return len(log), scored
 
 
@@ -320,8 +302,7 @@ def _shm_worker(task) -> Tuple[int, int, int, List[dict]]:
     through the result pickle, the parent reads them from the slab.
     """
     (graph_desc, merge_desc, batch_index, group_lo, group_hi, pair_offset,
-     threshold, seed, cost_model, kernels, iteration, attempt,
-     trace_ctx) = task
+     threshold, seed, cost_model, iteration, attempt, trace_ctx) = task
     faults: Optional[FaultInjector] = _SHARED.get("faults")
     if faults is not None:
         faults.on_worker_batch(iteration, batch_index, attempt)
@@ -331,7 +312,7 @@ def _shm_worker(task) -> Tuple[int, int, int, List[dict]]:
     if trace_ctx is None:
         num_merges, scored = _shm_plan_range(
             graph, merge_arena, group_lo, group_hi, pair_offset,
-            threshold, seed, cost_model, kernels,
+            threshold, seed, cost_model,
         )
         return num_merges, scored, attaches, []
     tracer = Tracer.from_context(trace_ctx)
@@ -340,7 +321,7 @@ def _shm_worker(task) -> Tuple[int, int, int, List[dict]]:
     ) as batch_span:
         num_merges, scored = _shm_plan_range(
             graph, merge_arena, group_lo, group_hi, pair_offset,
-            threshold, seed, cost_model, kernels,
+            threshold, seed, cost_model,
         )
         batch_span.set_attribute("merges", num_merges)
         batch_span.set_attribute("candidates_scored", scored)
@@ -656,9 +637,6 @@ class MultiprocessLDME(LDME):
         """The legacy transport: per-task pickled member-list batches."""
         merge_stats = MergeStats()
         node2super = partition.node2super.copy()
-        sizes = np.bincount(node2super, minlength=graph.num_nodes).astype(
-            np.int64
-        )
         batches: List[List[Dict[int, List[int]]]] = [
             [] for _ in range(self.num_workers)
         ]
@@ -682,7 +660,7 @@ class MultiprocessLDME(LDME):
         def build_task(descriptor, attempt):
             batch_index, batch, seed = descriptor
             return (
-                batch, threshold, seed, self.cost_model, self.kernels,
+                batch, threshold, seed, self.cost_model,
                 iteration, batch_index, attempt, trace_ctx,
             )
 
@@ -697,8 +675,8 @@ class MultiprocessLDME(LDME):
                 "group_batch", key=batch_index, groups=len(batch)
             ) as batch_span:
                 log, scored = _plan_batch(
-                    graph, node2super, sizes, batch,
-                    threshold, seed, self.cost_model, self.kernels,
+                    graph, node2super, batch, threshold, seed,
+                    self.cost_model,
                 )
                 batch_span.set_attribute("merges", len(log))
                 batch_span.set_attribute("candidates_scored", scored)
@@ -720,7 +698,6 @@ class MultiprocessLDME(LDME):
         )
         _SHARED["graph"] = graph
         _SHARED["node2super"] = node2super
-        _SHARED["sizes"] = sizes
         if self.fault_injector is not None:
             _SHARED["faults"] = self.fault_injector
         try:
@@ -750,11 +727,13 @@ class MultiprocessLDME(LDME):
         """The zero-copy transport: arenas in, pairs slab out.
 
         The parent flattens the iteration's group structure into arrays —
-        sids batch-major in group order, member lists concatenated in the
-        partition's own order (order is load-bearing: the group-W cost
-        accumulates floats in member insertion order, so any reordering
-        would silently change tie-breaking) — and places them, with the
-        partition snapshot, in a per-iteration arena. Workers attach,
+        sids batch-major in group order (the order the per-group seeds
+        and the merge loop's random picks follow), member lists
+        concatenated in the partition's own order — and places them, with
+        the partition snapshot, in a per-iteration arena. Member order
+        cannot change a plan: ``W`` holds edge counts, and every cost is
+        an integer (``exact``) or an exact half (``paper``), so the
+        order Saving sums its terms in cannot change its value. Workers attach,
         plan, and write merge pairs into the preallocated slab; the
         parent applies the pairs in batch order, exactly like the pickle
         path.
@@ -766,9 +745,6 @@ class MultiprocessLDME(LDME):
         """
         merge_stats = MergeStats()
         node2super = partition.node2super.copy()
-        sizes = np.bincount(node2super, minlength=graph.num_nodes).astype(
-            np.int64
-        )
         batches: List[List[List[int]]] = [[] for _ in range(self.num_workers)]
         for i, group in enumerate(groups):
             batches[i % self.num_workers].append(group)
@@ -826,7 +802,6 @@ class MultiprocessLDME(LDME):
             merge_arena = SharedGraphArena.create(
                 {
                     "node2super": node2super,
-                    "sizes": sizes,
                     "sid_list": sid_list,
                     "sid_indptr": sid_indptr,
                     "members": members_flat,
@@ -859,7 +834,7 @@ class MultiprocessLDME(LDME):
                 w, lo, hi, pair_offset, seed = descriptor
                 return (
                     graph_desc, merge_desc, w, lo, hi, pair_offset,
-                    threshold, seed, self.cost_model, self.kernels,
+                    threshold, seed, self.cost_model,
                     iteration, attempt, trace_ctx,
                 )
 
@@ -873,7 +848,7 @@ class MultiprocessLDME(LDME):
                 ) as batch_span:
                     num_merges, scored = _shm_plan_range(
                         graph, merge_arena, lo, hi, pair_offset,
-                        threshold, seed, self.cost_model, self.kernels,
+                        threshold, seed, self.cost_model,
                     )
                     batch_span.set_attribute("merges", num_merges)
                     batch_span.set_attribute("candidates_scored", scored)

@@ -60,7 +60,8 @@ __all__ = [
 ]
 
 #: Prefix for every segment this module creates — the leak sentinel in
-#: ``tests/kernels/conftest.py`` greps ``/dev/shm`` for it.
+#: ``tests/kernels/conftest.py`` greps ``/dev/shm`` for it and reads the
+#: creator pid that follows (``<prefix>[-probe]-<pid hex>-...``).
 SEGMENT_PREFIX = "repro-shm"
 
 

@@ -48,7 +48,7 @@ class PhaseTimer:
 
         timer = PhaseTimer()
         with timer.phase("w_build", graph="1e5", backend="numpy"):
-            GroupAdjacency(graph, partition, group, kernels="numpy")
+            build_w(graph, partition, group)
         timer.records  # [{"phase": "w_build", "seconds": ..., ...}]
 
     Records are plain dicts so they serialize straight into

@@ -21,10 +21,9 @@ class TestPlanGroupMerges:
         """Applying a plan on the real partition reproduces the snapshot's
         member sets exactly."""
         part = SupernodePartition(6)
-        sizes = np.ones(6, dtype=np.int64)
         group_members = {sid: [sid] for sid in (1, 2, 3, 4, 5)}
         plan, scored = plan_group_merges(
-            star, part.node2super.copy(), sizes, group_members,
+            star, part.node2super.copy(), group_members,
             threshold=0.3, seed=0,
         )
         assert scored > 0
@@ -35,19 +34,17 @@ class TestPlanGroupMerges:
 
     def test_empty_group_no_plan(self, star):
         plan, scored = plan_group_merges(
-            star, np.arange(6), np.ones(6, dtype=np.int64), {1: [1]},
-            threshold=0.0, seed=0,
+            star, np.arange(6), {1: [1]}, threshold=0.0, seed=0,
         )
         assert plan == []
         assert scored == 0
 
     def test_snapshot_sizes_respected(self, two_cliques):
-        # Out-of-group neighbour sizes come from the snapshot array.
+        # Out-of-group neighbour sizes come from the snapshot node2super.
         part = SupernodePartition(8)
         part.merge(4, 5)
-        sizes = np.bincount(part.node2super, minlength=8).astype(np.int64)
         plan, _ = plan_group_merges(
-            two_cliques, part.node2super.copy(), sizes,
+            two_cliques, part.node2super.copy(),
             {0: [0], 1: [1]}, threshold=0.1, seed=0,
         )
         # Whatever the decision, planning must not crash on merged

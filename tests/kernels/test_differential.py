@@ -4,8 +4,8 @@ Property-based (Hypothesis) random graphs, partitions and seeds assert the
 vectorized kernels in :mod:`repro.kernels` are **bit-identical** to the
 reference implementations they replace:
 
-* ``W`` tables (:func:`repro.kernels.wtable.build_group_w` vs the
-  ``GroupAdjacency`` dict loop),
+* ``W`` tables (:func:`repro.kernels.wtable.build_w` vs the dict-loop
+  reference :func:`repro.kernels.wtable.build_w_reference`),
 * DOPH signature matrices (bulk numpy vs bulk python vs per-row scalar),
 * ``EncodeResult`` — superedges, C+ and C− as *ordered* lists,
 * end-to-end LDME summaries under both backends.
@@ -26,7 +26,7 @@ from repro.core.merge import merge_group_exact
 from repro.core.partition import SupernodePartition
 from repro.core.saving import GroupAdjacency
 from repro.graph.graph import Graph
-from repro.kernels import build_group_w
+from repro.kernels.wtable import build_w, build_w_reference
 from repro.kernels.doph import (
     doph_signatures_bulk_numpy,
     doph_signatures_bulk_python,
@@ -67,6 +67,13 @@ def random_partition(graph: Graph, seed: int) -> SupernodePartition:
     return partition
 
 
+def reference_adjacency(graph, partition, group):
+    """A ``GroupAdjacency`` whose rows and sizes come from the dict loop."""
+    adjacency = GroupAdjacency(graph, partition, [])
+    adjacency.w, adjacency.size = build_w_reference(graph, partition, group)
+    return adjacency
+
+
 # ---------------------------------------------------------------------------
 # W construction
 # ---------------------------------------------------------------------------
@@ -82,20 +89,20 @@ class TestWTableDifferential:
         take = int(rng.integers(1, len(ids) + 1))
         group = [ids[int(i)] for i in
                  rng.choice(len(ids), size=take, replace=False)]
-        reference = GroupAdjacency(graph, partition, group, kernels="python")
-        kernel = GroupAdjacency(graph, partition, group, kernels="numpy")
-        assert reference.w == kernel.w
-        assert build_group_w(graph, partition, group) == reference.w
+        reference = build_w_reference(graph, partition, group)
+        assert build_w(graph, partition, group) == reference
+        kernel = GroupAdjacency(graph, partition, group)
+        assert (kernel.w, kernel.size) == reference
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_w_stays_identical_through_merges(self, graph, seed):
-        """apply_merge (shared fold update) keeps both backends in lockstep."""
+        """apply_merge (shared fold update) keeps both builds in lockstep."""
         partition_a = random_partition(graph, seed)
         partition_b = partition_a.copy()
         group = list(partition_a.supernode_ids())
-        ref = GroupAdjacency(graph, partition_a, group, kernels="python")
-        ker = GroupAdjacency(graph, partition_b, group, kernels="numpy")
+        ref = reference_adjacency(graph, partition_a, group)
+        ker = GroupAdjacency(graph, partition_b, group)
         rng = np.random.default_rng(seed + 1)
         for _ in range(min(4, len(group) - 1)):
             ids = list(ref.w)
@@ -108,6 +115,7 @@ class TestWTableDifferential:
             ref.apply_merge(sa, xa)
             ker.apply_merge(sb, xb)
             assert ref.w == ker.w
+            assert ref.size == ker.size
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -119,11 +127,12 @@ class TestWTableDifferential:
             return
         stats_a = merge_group_exact(
             graph, partition_a, list(group), 0.2,
-            seed=np.random.default_rng(seed), kernels="python",
+            seed=np.random.default_rng(seed),
+            adjacency=reference_adjacency(graph, partition_a, group),
         )
         stats_b = merge_group_exact(
             graph, partition_b, list(group), 0.2,
-            seed=np.random.default_rng(seed), kernels="numpy",
+            seed=np.random.default_rng(seed),
         )
         assert stats_a.merges == stats_b.merges
         assert stats_a.candidates_scored == stats_b.candidates_scored
@@ -214,8 +223,6 @@ class TestEndToEndDifferential:
         graph = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="kernels"):
             LDME(kernels="cython")
-        with pytest.raises(ValueError, match="kernels"):
-            GroupAdjacency(graph, SupernodePartition(3), [0], kernels="jax")
         with pytest.raises(ValueError, match="backend"):
             encode_sorted(graph, SupernodePartition(3), backend="jax")
 
